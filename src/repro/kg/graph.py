@@ -14,7 +14,8 @@ adds the semantics OpenBG needs on top of raw triples:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 import networkx as nx
 import numpy as np
@@ -202,43 +203,30 @@ class KnowledgeGraph:
 
     def ancestors(self, node: str) -> List[str]:
         """All transitive taxonomy ancestors (excluding the node itself)."""
-        seen: Set[str] = set()
-        frontier = deque(self.parents(node))
-        while frontier:
-            current = frontier.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.parents(current))
-        return sorted(seen)
+        return sorted(_reachable(node, self.parents))
 
     def descendants(self, node: str) -> List[str]:
         """All transitive taxonomy descendants (excluding the node itself)."""
-        seen: Set[str] = set()
-        frontier = deque(self.children(node))
-        while frontier:
-            current = frontier.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.children(current))
-        return sorted(seen)
+        return sorted(_reachable(node, self.children))
 
     def is_subclass_of(self, node: str, candidate_ancestor: str) -> bool:
-        """True when ``candidate_ancestor`` is a (transitive) taxonomy ancestor."""
-        if node == candidate_ancestor:
-            return True
-        frontier = deque(self.parents(node))
-        seen: Set[str] = set()
-        while frontier:
-            current = frontier.popleft()
-            if current == candidate_ancestor:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.parents(current))
-        return False
+        """True when ``candidate_ancestor`` is ``node`` or a (transitive) taxonomy ancestor."""
+        return node == candidate_ancestor or candidate_ancestor in self.ancestors(node)
+
+    def taxonomy_snapshot(self) -> "TaxonomySnapshot":
+        """A read-only view of the taxonomy and ``rdf:type`` edges.
+
+        Reads every ``rdfs:subClassOf``, ``skos:broader`` and ``rdf:type``
+        edge in one batched store call; the snapshot answers parent,
+        type and ancestor lookups from memory after that.  Later writes
+        to the graph are not reflected in it.
+        """
+        *taxonomy, typed = self.store.match_many(
+            [(None, prop, None) for prop in TAXONOMY_PROPERTIES]
+            + [(None, MetaProperty.TYPE.value, None)])
+        return TaxonomySnapshot(
+            _tails_by_head(triple for triples in taxonomy for triple in triples),
+            _tails_by_head(typed))
 
     def taxonomy_depth(self, node: str) -> int:
         """Length of the longest parent chain above ``node`` (root has depth 0).
@@ -471,3 +459,65 @@ class KnowledgeGraph:
             "triples": len(self.store),
             "multimodal_entities": len(self.images),
         }
+
+
+def _tails_by_head(triples: Iterable[Triple]) -> Dict[str, Tuple[str, ...]]:
+    """head → sorted, deduplicated tails."""
+    grouped: Dict[str, Set[str]] = defaultdict(set)
+    for triple in triples:
+        grouped[triple.head].add(triple.tail)
+    return {head: tuple(sorted(tails)) for head, tails in grouped.items()}
+
+
+def _reachable(start: str, step: Callable[[str], Iterable[str]]) -> Set[str]:
+    """Nodes reachable from ``start`` in one or more ``step`` hops.
+
+    Breadth-first and cycle-safe; ``start`` itself is excluded even when
+    a cycle leads back to it.
+    """
+    seen: Set[str] = set()
+    frontier = deque(step(start))
+    while frontier:
+        current = frontier.popleft()
+        if current in seen:
+            continue
+        seen.add(current)
+        frontier.extend(step(current))
+    seen.discard(start)
+    return seen
+
+
+class TaxonomySnapshot:
+    """Taxonomy parents and ``rdf:type`` targets, read once from a graph.
+
+    Built by :meth:`KnowledgeGraph.taxonomy_snapshot`.  Lookups never
+    touch the store; ancestor sets are computed on first use and
+    memoized, so a validation pass walks each node's ancestry once.
+    """
+
+    def __init__(self, parents: Dict[str, Tuple[str, ...]],
+                 types: Dict[str, Tuple[str, ...]]) -> None:
+        self._parents = parents
+        self._types = types
+        self._ancestors: Dict[str, FrozenSet[str]] = {}
+
+    def parents(self, node: str) -> List[str]:
+        """Direct taxonomy parents along subClassOf / broader, sorted."""
+        return list(self._parents.get(node, ()))
+
+    def types_of(self, node: str) -> List[str]:
+        """Classes c with (node, rdf:type, c), sorted."""
+        return list(self._types.get(node, ()))
+
+    def ancestors(self, node: str) -> FrozenSet[str]:
+        """All transitive taxonomy ancestors (excluding the node itself)."""
+        known = self._ancestors.get(node)
+        if known is None:
+            known = frozenset(_reachable(
+                node, lambda current: self._parents.get(current, ())))
+            self._ancestors[node] = known
+        return known
+
+    def is_subclass_of(self, node: str, candidate_ancestor: str) -> bool:
+        """True when ``candidate_ancestor`` is ``node`` or a (transitive) taxonomy ancestor."""
+        return node == candidate_ancestor or candidate_ancestor in self.ancestors(node)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import KnowledgeGraph, TaxonomySnapshot
 from repro.kg.namespaces import MetaProperty, OWL_THING, SKOS_CONCEPT
 from repro.kg.triple import Triple
 from repro.ontology.schema import OntologySchema, PropertyKind
@@ -65,7 +65,16 @@ class ValidationReport:
 
 
 class OntologyValidator:
-    """Validates a :class:`KnowledgeGraph` against an :class:`OntologySchema`."""
+    """Validates a :class:`KnowledgeGraph` against an :class:`OntologySchema`.
+
+    One pass reads the store twice: a single batched read of every
+    taxonomy and ``rdf:type`` edge into a
+    :class:`~repro.kg.graph.TaxonomySnapshot`, and the sorted scan of
+    all triples.  The acyclicity check, the ``rdf:type`` target check
+    and the domain/range checks then answer parent, type and ancestor
+    lookups from the snapshot, whose ancestor sets are memoized, so no
+    check issues a store read per triple.
+    """
 
     def __init__(self, schema: OntologySchema) -> None:
         self.schema = schema
@@ -73,21 +82,22 @@ class OntologyValidator:
     def validate(self, graph: KnowledgeGraph) -> ValidationReport:
         """Run all checks and return a report."""
         report = ValidationReport()
-        self._check_taxonomy_acyclic(graph, report)
+        taxonomy = graph.taxonomy_snapshot()
+        self._check_taxonomy_acyclic(graph, taxonomy, report)
         for triple in graph.triples():
             report.checked_triples += 1
-            self._check_triple(graph, triple, report)
+            self._check_triple(graph, taxonomy, triple, report)
         self._check_entity_labels(graph, report)
         return report
 
     # ------------------------------------------------------------------ #
     # individual checks
     # ------------------------------------------------------------------ #
-    def _check_triple(self, graph: KnowledgeGraph, triple: Triple,
-                      report: ValidationReport) -> None:
+    def _check_triple(self, graph: KnowledgeGraph, taxonomy: TaxonomySnapshot,
+                      triple: Triple, report: ValidationReport) -> None:
         kind = self.schema.property_kind(triple.relation)
         if triple.relation == MetaProperty.TYPE.value:
-            self._check_type_triple(graph, triple, report)
+            self._check_type_triple(graph, taxonomy, triple, report)
             return
         if kind is None:
             if triple.relation not in graph.object_properties and \
@@ -100,10 +110,10 @@ class OntologyValidator:
                 ))
             return
         if kind is PropertyKind.OBJECT:
-            self._check_object_triple(graph, triple, report)
+            self._check_object_triple(taxonomy, triple, report)
 
-    def _check_type_triple(self, graph: KnowledgeGraph, triple: Triple,
-                           report: ValidationReport) -> None:
+    def _check_type_triple(self, graph: KnowledgeGraph, taxonomy: TaxonomySnapshot,
+                           triple: Triple, report: ValidationReport) -> None:
         target = triple.tail
         # Instance-level typing is allowed: an item is an instance of a
         # product, which is itself an entity (not a class) — the paper's
@@ -113,7 +123,7 @@ class OntologyValidator:
             target in graph.classes or target in graph.concepts
             or self.schema.is_class(target) or self.schema.is_concept(target)
             or target in (OWL_THING, SKOS_CONCEPT)
-            or (target in graph.entities and bool(graph.types_of(target)))
+            or (target in graph.entities and bool(taxonomy.types_of(target)))
         )
         if not known:
             report.issues.append(ValidationIssue(
@@ -122,10 +132,10 @@ class OntologyValidator:
                 triple=triple,
             ))
 
-    def _check_object_triple(self, graph: KnowledgeGraph, triple: Triple,
+    def _check_object_triple(self, taxonomy: TaxonomySnapshot, triple: Triple,
                              report: ValidationReport) -> None:
         definition = self.schema.properties[triple.relation]
-        if definition.domain and not self._instance_under(graph, triple.head,
+        if definition.domain and not self._instance_under(taxonomy, triple.head,
                                                           definition.domain):
             report.issues.append(ValidationIssue(
                 severity="error", code="domain-violation",
@@ -133,7 +143,7 @@ class OntologyValidator:
                          f"under domain {definition.domain!r}"),
                 triple=triple,
             ))
-        if definition.range and not self._instance_under(graph, triple.tail,
+        if definition.range and not self._instance_under(taxonomy, triple.tail,
                                                          definition.range):
             report.issues.append(ValidationIssue(
                 severity="error", code="range-violation",
@@ -142,16 +152,16 @@ class OntologyValidator:
                 triple=triple,
             ))
 
-    def _instance_under(self, graph: KnowledgeGraph, node: str, ancestor: str) -> bool:
+    def _instance_under(self, taxonomy: TaxonomySnapshot, node: str, ancestor: str) -> bool:
         """True when ``node`` is (an instance of) a class/concept under ``ancestor``."""
-        if graph.is_subclass_of(node, ancestor):
+        if taxonomy.is_subclass_of(node, ancestor):
             return True
-        for type_id in graph.types_of(node):
-            if graph.is_subclass_of(type_id, ancestor):
+        for type_id in taxonomy.types_of(node):
+            if taxonomy.is_subclass_of(type_id, ancestor):
                 return True
         return False
 
-    def _check_taxonomy_acyclic(self, graph: KnowledgeGraph,
+    def _check_taxonomy_acyclic(self, graph: KnowledgeGraph, taxonomy: TaxonomySnapshot,
                                 report: ValidationReport) -> None:
         """Detect cycles in the subClassOf / broader graph (DFS with colors)."""
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -159,7 +169,7 @@ class OntologyValidator:
 
         def visit(node: str) -> bool:
             color[node] = GRAY
-            for parent in graph.parents(node):
+            for parent in taxonomy.parents(node):
                 state = color.get(parent, WHITE)
                 if state == GRAY:
                     return False

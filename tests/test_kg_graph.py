@@ -45,6 +45,34 @@ def test_is_subclass_of_and_depth():
     assert graph.taxonomy_depth("northeast_rice") == 3
 
 
+def test_taxonomy_walks_exclude_the_start_node_on_a_cycle():
+    graph = KnowledgeGraph("cycle")
+    sub = MetaProperty.SUBCLASS_OF.value
+    graph.add(Triple("a", sub, "b"))
+    graph.add(Triple("b", sub, "a"))
+    graph.add(Triple("b", sub, "top"))
+    assert graph.ancestors("a") == ["b", "top"]
+    assert graph.descendants("a") == ["b"]
+    assert graph.is_subclass_of("a", "a")
+    assert graph.is_subclass_of("a", "top")
+    assert not graph.is_subclass_of("top", "a")
+    snapshot = graph.taxonomy_snapshot()
+    assert snapshot.ancestors("a") == frozenset({"b", "top"})
+    assert snapshot.ancestors("b") == frozenset({"a", "top"})
+    assert snapshot.parents("b") == ["a", "top"]
+
+
+def test_taxonomy_snapshot_matches_graph_reads():
+    graph = _taxonomy_graph()
+    snapshot = graph.taxonomy_snapshot()
+    for node in ["Category", "food", "rice", "northeast_rice", "noodles", "p1"]:
+        assert snapshot.parents(node) == graph.parents(node)
+        assert snapshot.types_of(node) == graph.types_of(node)
+        assert sorted(snapshot.ancestors(node)) == graph.ancestors(node)
+    assert snapshot.is_subclass_of("northeast_rice", "Category")
+    assert not snapshot.is_subclass_of("noodles", "rice")
+
+
 def test_leaves_under():
     graph = _taxonomy_graph()
     assert graph.leaves_under("food") == ["noodles", "northeast_rice"]
