@@ -8,6 +8,9 @@ downstream-task benches, so the expensive setup happens once per session.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.benchmark.builders import BenchmarkBuilder
@@ -16,6 +19,12 @@ from repro.datagen.catalog import SyntheticCatalogConfig
 from repro.pretrain.mplug import MPlugConfig
 from repro.pretrain.pretrainer import Pretrainer, PretrainingConfig
 from repro.tasks.encoders import BackboneSpec, build_backbone
+
+# The parity oracle (``kg_oracle``) lives with the tests; the benches
+# that price the ID-space path against it import that one copy.
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 #: Scale of the benchmark-harness OpenBG (larger than the unit-test build).
 BENCH_CONFIG = SyntheticCatalogConfig(num_products=300, items_per_product=2,

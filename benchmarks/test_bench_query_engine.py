@@ -4,9 +4,10 @@ Three workloads over one synthetic product graph:
 
 * **join workload** — a mix of conjunctive multi-pattern queries (brand
   membership + origin filters, 2-hop brand→headquarters joins, category
-  fan-outs) evaluated per query; the legacy symbol-level backtracking
-  executor (one ``iter_match`` store round-trip per binding per
-  pattern, ``Triple`` objects and strings all the way) against the
+  fan-outs) evaluated per query; the test oracle's symbol-level
+  backtracking evaluator (``kg_oracle.execute``: one ``iter_match``
+  store round-trip per binding per pattern, ``Triple`` objects and
+  strings all the way) against the
   ID-space executor (constants interned once, pattern blocks fetched
   from the CSR indexes, frontier carried as numpy id columns through
   vectorized hash joins, strings only at projection).  Run on the
@@ -36,6 +37,7 @@ import threading
 import time
 from typing import Callable, List, Tuple
 
+import kg_oracle
 from _artifacts import update_artifact
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.service import QueryService
@@ -130,10 +132,13 @@ def test_id_space_executor_vs_backtracking():
             if strategy == "batched-id":
                 def workload(engine=engine):
                     return engine.execute_many(queries)
-            else:
-                def workload(engine=engine, strategy=strategy):
-                    return [engine.execute(query, strategy=strategy)
+            elif strategy == "backtracking":
+                def workload(store=store):
+                    return [kg_oracle.execute(store, query)
                             for query in queries]
+            else:
+                def workload(engine=engine):
+                    return [engine.execute(query) for query in queries]
             results = workload()
             elapsed = _best_of(REPEATS, workload)
             timings[(backend_name, strategy)] = elapsed

@@ -85,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="triple-store backend (columnar: interned-id numpy "
                              "arrays; mmap: on-disk memory-mapped columns; "
                              "sharded: hash-partitioned columnar shards with "
-                             "parallel bulk loads and saves; "
-                             "set: the reference dict-of-set store)")
+                             "parallel bulk loads and saves)")
     parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
                         help="shard count for --backend sharded "
                              f"(default {DEFAULT_SHARDS}; ignored otherwise)")
@@ -143,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--codec", choices=("auto", "json"), default="auto",
                        help="wire codec policy: auto grants per-connection "
                             "binary negotiation (id blocks + interner "
-                            "deltas) when the backend supports it; json "
+                            "deltas); json "
                             "pins every connection to the JSON codec "
                             "(default auto)")
     serve.add_argument("--shard-of", default=None, metavar="K/N",

@@ -7,8 +7,6 @@ module introduces the storage seam the ROADMAP asks for:
 
 * :class:`Interner` — a shared string ↔ contiguous ``int`` id table,
 * :class:`GraphBackend` — the protocol every backend implements,
-* :class:`SetBackend` — the original dict-of-set design (kept for parity
-  testing and as a reference implementation),
 * :class:`ColumnarBackend` — the default: triples live in parallel numpy
   ``int64`` columns with CSR-style adjacency indexes per head, relation
   and tail, plus (head, relation) / (relation, tail) / (tail, head)
@@ -24,13 +22,14 @@ mutate-then-query loops (the dedup stage's
 O(overlay) per query instead of one full O(n log n) rebuild per
 mutation burst.
 
-Backends answer the same string-level query surface, and the columnar
-backend additionally exposes an integer-id surface (``id_triples``,
-``match_ids``, the interners) that the sampling and embedding layers use
-to stay in ID-array land end-to-end.  The id surface describes one flat,
-fully indexed column block, so touching it first folds any pending
-overlay back into the base (a single consolidation, amortized across the
-read-heavy phases that use it).
+Every backend answers the same string-level query surface and the same
+integer-id surface (the interners, ``match_ids``, ``match_ids_many``,
+``count_ids``) that the query executor joins over; the columnar backend
+also exposes ``id_triples`` and sort ranks, which the sampling and
+embedding layers use to stay in ID-array land end-to-end.  The id
+surface describes one flat, fully indexed column block, so touching it
+first folds any pending overlay back into the base (a single
+consolidation, amortized across the read-heavy phases that use it).
 
 :class:`~repro.kg.mmap_backend.MmapBackend` (``repro.kg.mmap_backend``)
 extends the columnar design with an on-disk, memory-mapped base block
@@ -44,7 +43,6 @@ saves/opens and batched queries across cores.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from pathlib import Path
 from typing import (
     Dict,
@@ -136,7 +134,17 @@ class GraphBackend(Protocol):
     triples in backend-defined order unless ``sort=True`` is requested;
     ``tails`` / ``heads`` stay sorted because their callers rely on
     deterministic small result lists.
+
+    Every backend interns symbols to contiguous int64 ids and also
+    answers pattern queries in id space (``match_ids`` and friends, ids
+    from the two interners): the query executor
+    (:mod:`repro.kg.executor`) interns a query's constants once and then
+    joins numpy id arrays without materializing a :class:`Triple` or a
+    string.
     """
+
+    entity_interner: Interner
+    relation_interner: Interner
 
     def add(self, head: str, relation: str, tail: str) -> bool: ...
 
@@ -184,23 +192,6 @@ class GraphBackend(Protocol):
 
     def count_many(self, patterns: Sequence[Pattern]) -> List[int]: ...
 
-
-@runtime_checkable
-class IdQueryBackend(Protocol):
-    """The integer-id query surface of the columnar backend family.
-
-    Backends that intern symbols to contiguous int64 ids additionally
-    answer pattern queries entirely in id space — the query executor
-    (:mod:`repro.kg.executor`) interns a query's constants once and then
-    joins numpy id arrays without materializing a single
-    :class:`Triple` or string.  ``SetBackend`` does not implement this
-    surface; callers fall back to the string-level protocol
-    (see :func:`supports_id_queries`).
-    """
-
-    entity_interner: Interner
-    relation_interner: Interner
-
     def match_ids(self, head_id: Optional[int] = None,
                   relation_id: Optional[int] = None,
                   tail_id: Optional[int] = None) -> np.ndarray: ...
@@ -210,11 +201,6 @@ class IdQueryBackend(Protocol):
     def count_ids(self, head_id: Optional[int] = None,
                   relation_id: Optional[int] = None,
                   tail_id: Optional[int] = None) -> int: ...
-
-
-def supports_id_queries(backend: object) -> bool:
-    """True when ``backend`` exposes the id-level query surface."""
-    return isinstance(backend, IdQueryBackend)
 
 
 class _BatchedQueriesMixin:
@@ -279,125 +265,6 @@ class _BatchedQueriesMixin:
         reproduce their configuration.
         """
         return type(self)()
-
-
-class SetBackend(_BatchedQueriesMixin):
-    """The original dict-of-set store, kept as the parity reference.
-
-    Six single- and two-key indexes (SPO / POS / OSP style) make every
-    pattern lookup a dictionary access rather than a scan.  Index buckets
-    are insertion-ordered dicts rather than sets so unsorted ``match``
-    results are deterministic for a deterministic insertion sequence
-    (plain sets would leak ``PYTHONHASHSEED`` into query order).
-    """
-
-    name = "set"
-
-    def __init__(self) -> None:
-        self._triples: Dict[Triple, None] = {}
-        self._by_head: Dict[str, Dict[Triple, None]] = defaultdict(dict)
-        self._by_relation: Dict[str, Dict[Triple, None]] = defaultdict(dict)
-        self._by_tail: Dict[str, Dict[Triple, None]] = defaultdict(dict)
-        self._by_head_relation: Dict[Tuple[str, str], Dict[Triple, None]] = defaultdict(dict)
-        self._by_relation_tail: Dict[Tuple[str, str], Dict[Triple, None]] = defaultdict(dict)
-        self._by_head_tail: Dict[Tuple[str, str], Dict[Triple, None]] = defaultdict(dict)
-
-    # ------------------------------------------------------------------ #
-    # mutation
-    # ------------------------------------------------------------------ #
-    def add(self, head: str, relation: str, tail: str) -> bool:
-        triple = Triple(head, relation, tail)
-        if triple in self._triples:
-            return False
-        self._triples[triple] = None
-        self._by_head[head][triple] = None
-        self._by_relation[relation][triple] = None
-        self._by_tail[tail][triple] = None
-        self._by_head_relation[(head, relation)][triple] = None
-        self._by_relation_tail[(relation, tail)][triple] = None
-        self._by_head_tail[(head, tail)][triple] = None
-        return True
-
-    def discard(self, head: str, relation: str, tail: str) -> bool:
-        triple = Triple(head, relation, tail)
-        if triple not in self._triples:
-            return False
-        del self._triples[triple]
-        self._by_head[head].pop(triple, None)
-        self._by_relation[relation].pop(triple, None)
-        self._by_tail[tail].pop(triple, None)
-        self._by_head_relation[(head, relation)].pop(triple, None)
-        self._by_relation_tail[(relation, tail)].pop(triple, None)
-        self._by_head_tail[(head, tail)].pop(triple, None)
-        return True
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def contains(self, head: str, relation: str, tail: str) -> bool:
-        return Triple(head, relation, tail) in self._triples
-
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def iter_triples(self) -> Iterator[Triple]:
-        return iter(self._triples)
-
-    def _candidates(self, head: Optional[str], relation: Optional[str],
-                    tail: Optional[str]) -> Iterable[Triple]:
-        if head is not None and relation is not None and tail is not None:
-            candidate = Triple(head, relation, tail)
-            return (candidate,) if candidate in self._triples else ()
-        if head is not None and relation is not None:
-            return self._by_head_relation.get((head, relation), ())
-        if relation is not None and tail is not None:
-            return self._by_relation_tail.get((relation, tail), ())
-        if head is not None and tail is not None:
-            return self._by_head_tail.get((head, tail), ())
-        if head is not None:
-            return self._by_head.get(head, ())
-        if relation is not None:
-            return self._by_relation.get(relation, ())
-        if tail is not None:
-            return self._by_tail.get(tail, ())
-        return self._triples
-
-    def match(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None, sort: bool = False) -> List[Triple]:
-        candidates = self._candidates(head, relation, tail)
-        return sorted(candidates) if sort else list(candidates)
-
-    def iter_match(self, head: Optional[str] = None, relation: Optional[str] = None,
-                   tail: Optional[str] = None) -> Iterator[Triple]:
-        return iter(self._candidates(head, relation, tail))
-
-    def count(self, head: Optional[str] = None, relation: Optional[str] = None,
-              tail: Optional[str] = None) -> int:
-        # Every branch of _candidates returns a sized container.
-        return len(self._candidates(head, relation, tail))
-
-    def tails(self, head: str, relation: str) -> List[str]:
-        return sorted(t.tail for t in self._by_head_relation.get((head, relation), ()))
-
-    def heads(self, relation: str, tail: str) -> List[str]:
-        return sorted(t.head for t in self._by_relation_tail.get((relation, tail), ()))
-
-    def degree(self, node: str) -> int:
-        return len(self._by_head.get(node, ())) + len(self._by_tail.get(node, ()))
-
-    def entities(self) -> List[str]:
-        nodes = {key for key, triples in self._by_head.items() if triples}
-        nodes.update(key for key, triples in self._by_tail.items() if triples)
-        return sorted(nodes)
-
-    def relations(self) -> List[str]:
-        return sorted(rel for rel, triples in self._by_relation.items() if triples)
-
-    def heads_only(self) -> List[str]:
-        return sorted(key for key, triples in self._by_head.items() if triples)
-
-    def relation_frequencies(self) -> Dict[str, int]:
-        return {rel: len(triples) for rel, triples in self._by_relation.items() if triples}
 
 
 class ColumnarBackend(_BatchedQueriesMixin):
@@ -976,7 +843,6 @@ class ColumnarBackend(_BatchedQueriesMixin):
 
 #: Registered backend implementations, keyed by their CLI name.
 BACKENDS: Dict[str, type] = {
-    SetBackend.name: SetBackend,
     ColumnarBackend.name: ColumnarBackend,
 }
 

@@ -1,8 +1,8 @@
 """Multi-node serving: a coordinator backend over N shard servers.
 
 :class:`ClusterBackend` implements the same
-:class:`~repro.kg.backend.GraphBackend` /
-:class:`~repro.kg.backend.IdQueryBackend` contract as the in-process
+:class:`~repro.kg.backend.GraphBackend` contract (string and id
+surfaces) as the in-process
 :class:`~repro.kg.sharded_backend.ShardedBackend`, but its "shards" are
 remote :class:`~repro.kg.server.KGServer` processes.  Routing is the
 exact code the in-process backend uses — the pure functions of
@@ -73,7 +73,6 @@ from repro.kg.backend import (
     Interner,
     Pattern,
     _BatchedQueriesMixin,
-    supports_id_queries,
 )
 from repro.kg.client import RemoteClient
 from repro.kg.mmap_backend import (
@@ -152,10 +151,6 @@ def shard_split(store_dir: Union[str, Path], n_shards: int,
     source = TripleStore.open(store_dir)
     try:
         backend = source.backend
-        if not supports_id_queries(backend):
-            raise StorageError(
-                f"shard-split needs an id-capable source store, got "
-                f"backend {source.backend_name!r}")
         entity_interner = backend.entity_interner
         relation_interner = backend.relation_interner
         rows = backend.match_ids(None, None, None)
@@ -614,9 +609,9 @@ class ClusterBackend(_BatchedQueriesMixin):
     wire call per touched shard, run concurrently over a persistent
     thread pool (wire I/O releases the GIL).
 
-    The backend satisfies both the string-level ``GraphBackend``
-    protocol and the ``IdQueryBackend`` id surface, so the planner and
-    the lockstep executor treat it exactly like a local
+    The backend satisfies the ``GraphBackend`` protocol, string and id
+    surfaces alike, so the planner and the lockstep executor treat it
+    exactly like a local
     :class:`~repro.kg.sharded_backend.ShardedBackend` — including
     bit-identical result ordering, because per-shard results concatenate
     in shard-index order on both sides of the deployment boundary.

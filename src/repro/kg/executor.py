@@ -1,41 +1,42 @@
-"""Query execution: vectorized ID-space joins plus the legacy backtracker.
+"""Query execution: vectorized joins in ID space.
 
-The counterpart of :mod:`repro.kg.planner`.  Two executors evaluate a
-:class:`~repro.kg.planner.QueryPlan`:
+The counterpart of :mod:`repro.kg.planner`.  :func:`execute_plan` /
+:func:`execute_plans` evaluate a :class:`~repro.kg.planner.QueryPlan`.
+Each pattern's constants are interned once; the pattern is fetched as
+one ``(k, 3)`` int64 block from the backend's CSR indexes (the batched
+:meth:`match_ids_many`); the binding frontier is a set of parallel
+numpy id columns (one per variable) that each step extends with a
+vectorized hash join — factorize the shared-variable key columns, sort
+one side, ``searchsorted`` the other, expand matches with
+``repeat``/``cumsum`` arithmetic.  Strings appear exactly once, at
+projection.  ``execute_plans`` runs a batch of plans in lockstep so
+every round's pattern fetches collapse into a single ``match_ids_many``
+call (which the sharded backend routes per shard).
 
-* :func:`execute_plan` / :func:`execute_plans` — the **ID-space
-  executor**.  Each pattern's constants are interned once; the pattern
-  is fetched as one ``(k, 3)`` int64 block from the backend's CSR
-  indexes (:meth:`match_ids` / the batched :meth:`match_ids_many`); the
-  binding frontier is a set of parallel numpy id columns (one per
-  variable) that each step extends with a vectorized hash join —
-  factorize the shared-variable key columns, sort one side,
-  ``searchsorted`` the other, expand matches with ``repeat``/``cumsum``
-  arithmetic.  Strings appear exactly once, at projection.
-  ``execute_plans`` runs a batch of plans in lockstep so every round's
-  pattern fetches collapse into a single ``match_ids_many`` call (which
-  the sharded backend routes per shard).
+Entity and relation ids are different spaces.  A variable that binds in
+both entity and relation positions (``(?p, ?m, x), (?m, r, ?t)``) has
+the entity kind; before a step whose relation term is such a variable
+joins, its block's relation column is mapped through a relation-id →
+entity-id array (the entity id of the same symbol, ``-1`` where the
+symbol is no entity) and the ``-1`` rows are dropped — a relation that
+is not also an entity can never satisfy the variable's entity-position
+patterns.  The array is built only for batches that contain such a
+variable.
 
-* :func:`execute_backtracking` — the original symbol-level evaluator
-  (one ``iter_match`` round-trip per binding per pattern), kept both as
-  the parity reference and as the fallback for backends without an id
-  surface (``SetBackend``) and for the rare query whose variable binds
-  in both entity and relation positions (``plan.id_space`` False —
-  entity and relation ids are different spaces, only symbols compare).
-
-Both executors produce identical binding *sets*; only the row order is
-executor-defined (deterministic for a deterministic store either way).
+The binding *set* equals that of a symbol-level evaluator extending one
+binding at a time; row order is executor-defined (deterministic for a
+deterministic store).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CursorError, QueryError
-from repro.kg.backend import IdPattern, supports_id_queries
+from repro.errors import CursorError
+from repro.kg.backend import IdPattern
 from repro.kg.planner import (
     ENTITY,
     PatternStep,
@@ -45,78 +46,6 @@ from repro.kg.planner import (
 from repro.kg.store import TripleStore
 
 Binding = Dict[str, str]
-
-
-# --------------------------------------------------------------------------- #
-# legacy symbol-level backtracking executor
-# --------------------------------------------------------------------------- #
-def execute_backtracking(store: TripleStore, plan: QueryPlan) -> List[Binding]:
-    """Evaluate a plan by per-binding backtracking over ``iter_match``.
-
-    This is the seed engine's strategy, word for word: substitute the
-    bindings accumulated so far into the next pattern, ask the store for
-    matching triples, extend each binding per match.  Kept as the parity
-    oracle and the fallback for non-id backends / non-id-space plans.
-    """
-    bindings: List[Binding] = [{}]
-    for step in plan.steps:
-        next_bindings: List[Binding] = []
-        for binding in bindings:
-            next_bindings.extend(_extend(store, binding, step.pattern))
-        bindings = next_bindings
-        if not bindings:
-            return []
-    return _project_bindings(bindings, plan.select)
-
-
-def _extend(store: TripleStore, binding: Binding,
-            pattern: Tuple[str, str, str]) -> Iterable[Binding]:
-    head, relation, tail = (_substitute(term, binding) for term in pattern)
-    matches = store.iter_match(
-        head=None if is_variable(head) else head,
-        relation=None if is_variable(relation) else relation,
-        tail=None if is_variable(tail) else tail,
-    )
-    for triple in matches:
-        extended = dict(binding)
-        if not _bind(extended, head, triple.head):
-            continue
-        if not _bind(extended, relation, triple.relation):
-            continue
-        if not _bind(extended, tail, triple.tail):
-            continue
-        yield extended
-
-
-def _substitute(term: str, binding: Binding) -> str:
-    if is_variable(term) and term in binding:
-        return binding[term]
-    return term
-
-
-def _bind(binding: Binding, term: str, value: str) -> bool:
-    if not is_variable(term):
-        return term == value
-    existing = binding.get(term)
-    if existing is None:
-        binding[term] = value
-        return True
-    return existing == value
-
-
-def _project_bindings(bindings: List[Binding],
-                      select: Tuple[str, ...]) -> List[Binding]:
-    if not select:
-        return bindings
-    projected: List[Binding] = []
-    seen = set()
-    for binding in bindings:
-        row = {var: binding[var] for var in select}
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen.add(key)
-            projected.append(row)
-    return projected
 
 
 # --------------------------------------------------------------------------- #
@@ -243,10 +172,31 @@ def _join_indices(left_keys: Sequence[np.ndarray],
     return left_rows, right_rows
 
 
-def _advance(state: _PlanState, block: np.ndarray) -> None:
+def _maps_relation(plan: QueryPlan, step: PatternStep) -> bool:
+    """True when the step's relation term is a variable of entity kind."""
+    term = step.pattern[1]
+    return is_variable(term) and plan.var_kinds.get(term) == ENTITY
+
+
+def _relation_to_entity_ids(backend) -> np.ndarray:
+    """Entity id of each relation id's symbol, ``-1`` where there is none."""
+    lookup = backend.entity_interner.lookup
+    return np.array([-1 if (identifier := lookup(symbol)) is None
+                     else identifier
+                     for symbol in backend.relation_interner.symbol_table()],
+                    dtype=np.int64)
+
+
+def _advance(state: _PlanState, block: np.ndarray,
+             relation_as_entity: Optional[np.ndarray]) -> None:
     """Join the current step's matched block into the frontier."""
     step = state.plan.steps[state.step_index]
     state.step_index += 1
+    if relation_as_entity is not None and _maps_relation(state.plan, step):
+        mapped = relation_as_entity[block[:, 1]]
+        keep = mapped >= 0
+        block = block[keep]
+        block[:, 1] = mapped[keep]
     block, var_position = _pattern_columns(step, block)
     frontier = state.frontier
     shared = [name for name in var_position if name in frontier.columns]
@@ -260,8 +210,8 @@ def _advance(state: _PlanState, block: np.ndarray) -> None:
             [frontier.columns[name] for name in shared],
             [block[:, var_position[name]] for name in shared])
     else:
-        # No shared variables: cartesian product (the legacy executor
-        # does the same — every binding pairs with every match).
+        # No shared variables: cartesian product — every binding pairs
+        # with every match.
         left_rows = np.repeat(np.arange(num_rows, dtype=np.int64), num_matches)
         right_rows = np.tile(np.arange(num_matches, dtype=np.int64), num_rows)
     if not len(left_rows):
@@ -336,9 +286,9 @@ class ResultCursor:
     projection** — a compact ``(n, k)`` int64 block plus the plan it
     came from — and each :meth:`fetch` stringifies only the rows of the
     page it returns, so a huge result set never materializes all its
-    binding dicts at once.  Results from the backtracking fallback (and
-    degenerate no-variable results) page over an already-built list via
-    :meth:`from_list`; either way the paging surface is identical.
+    binding dicts at once.  Empty and no-variable results page over an
+    already-built list via :meth:`from_list`; either way the paging
+    surface is identical.
 
     Cursors are single-consumer and not thread-safe;
     :class:`~repro.kg.service.QueryService` serializes access for its
@@ -441,7 +391,7 @@ class ResultCursor:
     def fetch_block(self, max_rows: int):
         """The id-space form of :meth:`fetch`: the next page as an
         :class:`IdBlock` when the cursor is id-backed, the materialized
-        list otherwise (backtracking fallback / pre-built results).
+        list otherwise (pre-built results).
         Pagination state is shared with :meth:`fetch` — a caller picks
         one form per page, not per cursor.
         """
@@ -503,26 +453,19 @@ def execute_plans_cursors(store: TripleStore,
                           plans: Sequence[QueryPlan]) -> List[ResultCursor]:
     """Evaluate a batch of plans into one :class:`ResultCursor` each.
 
-    ID-space-executable plans advance in lockstep: each round gathers
-    the current step of every live plan into ONE ``match_ids_many``
-    call (shard-routed on the sharded backend), then joins each block
-    into its plan's frontier.  Plans the id executor cannot run (no id
-    backend, mixed-kind variables) fall back to
-    :func:`execute_backtracking` transparently (their cursor pages over
-    the materialized list).  Projection is deferred to the cursors: the
-    join frontiers are materialized (compact int64 columns), the string
+    Plans advance in lockstep: each round gathers the current step of
+    every live plan into ONE ``match_ids_many`` call (shard-routed on
+    the sharded backend), then joins each block into its plan's
+    frontier.  Projection is deferred to the cursors: the join
+    frontiers are materialized (compact int64 columns), the string
     bindings are not.
     """
     backend = store.backend
+    mixed = any(_maps_relation(plan, step)
+                for plan in plans for step in plan.steps)
     results: List[Optional[ResultCursor]] = [None] * len(plans)
     states: List[Tuple[int, _PlanState]] = []
     for index, plan in enumerate(plans):
-        if not plan.id_space or not supports_id_queries(backend):
-            rows = execute_backtracking(store, plan)
-            if plan.query.limit is not None:
-                rows = rows[:plan.query.limit]
-            results[index] = ResultCursor.from_list(rows)
-            continue
         resolved = _resolve_constants(backend, plan)
         if resolved is None:
             results[index] = ResultCursor.from_list([])
@@ -538,8 +481,12 @@ def execute_plans_cursors(store: TripleStore,
         distinct = list(dict.fromkeys(requests))
         blocks = backend.match_ids_many(distinct)
         by_pattern = dict(zip(distinct, blocks))
+        # Built after the fetch: a cluster coordinator interns the
+        # symbols its string fallback path brings back.
+        relation_as_entity = _relation_to_entity_ids(backend) if mixed \
+            else None
         for (_index, state), request in zip(live, requests):
-            _advance(state, by_pattern[request])
+            _advance(state, by_pattern[request], relation_as_entity)
         live = [entry for entry in live if not entry[1].done()]
     for index, state in states:
         results[index] = ResultCursor.from_list([]) if state.failed \
@@ -562,15 +509,3 @@ def execute_plan(store: TripleStore, plan: QueryPlan) -> List[Binding]:
     """Evaluate one plan with the ID-space executor (see :func:`execute_plans`)."""
     return execute_plans(store, [plan])[0]
 
-
-def require_id_space(store: TripleStore, plan: QueryPlan) -> None:
-    """Raise :class:`QueryError` when the ID-space executor cannot run ``plan``."""
-    if not supports_id_queries(store.backend):
-        raise QueryError(
-            f"backend {type(store.backend).__name__} has no id-level query "
-            f"surface; use strategy='auto' or 'backtracking'")
-    if not plan.id_space:
-        raise QueryError(
-            "query binds a variable in both entity and relation positions; "
-            "the ID-space executor cannot join across id spaces — use "
-            "strategy='auto' or 'backtracking'")

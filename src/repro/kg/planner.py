@@ -10,8 +10,8 @@ the query text plus one batched ``count_many`` round-trip to the store:
   :class:`QueryPlan` objects: patterns ordered by batched selectivity
   counts (fewest matching triples first), each annotated with its
   constants and variable occurrences, plus a query-wide variable → kind
-  (entity / relation position) analysis that decides whether the
-  ID-space executor can run the plan;
+  (entity / relation position) analysis that tells the executor which
+  interner space each variable's ids live in;
 * select validation — a ``select`` naming a variable the query never
   binds raises :class:`~repro.errors.QueryError` instead of silently
   producing partial rows;
@@ -107,11 +107,9 @@ class QueryPlan:
     keeps the *original* first-appearance order (the order
     :meth:`PatternQuery.variables` reports, independent of reordering).
     ``var_kinds`` maps each variable to the id space it binds in
-    (:data:`ENTITY` or :data:`RELATION`); ``id_space`` is False when some
-    variable appears in both entity and relation positions, in which
-    case only the symbol-level backtracking executor can evaluate the
-    plan (entity and relation ids are different spaces, so the ID-space
-    join cannot compare them).
+    (:data:`ENTITY` or :data:`RELATION`).  A variable that appears in
+    both entity and relation positions is an :data:`ENTITY`; the
+    executor maps its relation-position ids into entity ids.
     """
 
     query: PatternQuery
@@ -119,7 +117,6 @@ class QueryPlan:
     variables: Tuple[str, ...]
     select: Tuple[str, ...]
     var_kinds: Dict[str, str] = field(default_factory=dict)
-    id_space: bool = True
 
 
 def validate_select(query: PatternQuery) -> None:
@@ -157,22 +154,14 @@ def validate_limit(limit: Optional[int]) -> None:
             f"limit must be a positive integer or None, got {limit!r}")
 
 
-def _analyze_variables(query: PatternQuery) -> Tuple[Dict[str, str], bool]:
-    """Variable → kind map, plus whether the query is ID-space executable."""
+def _analyze_variables(query: PatternQuery) -> Dict[str, str]:
+    """Variable → kind map; a variable seen in both positions is an entity."""
     kinds: Dict[str, str] = {}
-    id_space = True
     for pattern in query.patterns:
         for position, term in enumerate(pattern):
-            if not is_variable(term):
-                continue
-            kind = RELATION if position == 1 else ENTITY
-            previous = kinds.setdefault(term, kind)
-            if previous != kind:
-                # The same variable binds entity symbols in one pattern
-                # and relation symbols in another: joining requires
-                # symbol comparison, not id comparison.
-                id_space = False
-    return kinds, id_space
+            if is_variable(term) and kinds.get(term) != ENTITY:
+                kinds[term] = RELATION if position == 1 else ENTITY
+    return kinds
 
 
 def _make_step(pattern: Tuple[str, str, str], count: int) -> PatternStep:
@@ -226,14 +215,12 @@ def plan_queries(store: TripleStore, queries: Sequence[PatternQuery],
             # triples first prunes the binding frontier early; ties keep
             # the written order.  The binding *set* is order-invariant.
             steps.sort(key=lambda step: step.count)
-        kinds, id_space = _analyze_variables(query)
         plans.append(QueryPlan(
             query=query,
             steps=tuple(steps),
             variables=tuple(query.variables()),
             select=query.select,
-            var_kinds=kinds,
-            id_space=id_space,
+            var_kinds=_analyze_variables(query),
         ))
     return plans
 
@@ -270,13 +257,9 @@ def cache_key(backend: object, query: PatternQuery,
     every mutation epoch bump — interners grow only on writes, so
     between bumps "unknown" is as stable an identity as an id.
 
-    ``None`` (bypass the cache) is returned for queries the ID-space
-    executor refuses (a variable spanning entity and relation
-    positions) and for queries projecting no columns at all.
+    ``None`` (bypass the cache) is returned for queries projecting no
+    columns at all.
     """
-    kinds, id_space = _analyze_variables(query)
-    if not id_space:
-        return None
     names = query.select or tuple(query.variables())
     if not names:
         return None

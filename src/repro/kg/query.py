@@ -10,32 +10,26 @@ The engine is a thin facade over a plan/execute pipeline:
 
 * :mod:`repro.kg.planner` normalizes patterns, orders them by batched
   selectivity (one ``count_many`` call) and analyzes variables;
-* :mod:`repro.kg.executor` evaluates the plan — by default in **ID
-  space**: constants interned once, every pattern fetched as an int64
-  block from the backend's CSR indexes, the binding frontier carried as
-  numpy id columns through vectorized hash joins, strings materialized
-  only at projection.  Backends without an id surface (``set``) and
-  queries that bind one variable in both entity and relation positions
-  fall back to the original symbol-level backtracking evaluator.
+* :mod:`repro.kg.executor` evaluates the plan in **ID space**:
+  constants interned once, every pattern fetched as an int64 block from
+  the backend's CSR indexes, the binding frontier carried as numpy id
+  columns through vectorized hash joins, strings materialized only at
+  projection.
 
-Both paths produce identical binding *sets* (row order is
-executor-defined).  For a concurrent, batching front-end over the same
-pipeline see :class:`repro.kg.service.QueryService`.
+Row order is executor-defined.  For a concurrent, batching front-end
+over the same pipeline see :class:`repro.kg.service.QueryService`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.errors import QueryError
 from repro.kg.executor import (
     Binding,
     ResultCursor,
-    execute_backtracking,
     execute_plans,
     execute_plans_cursors,
-    require_id_space,
 )
 from repro.kg.planner import (
     PatternQuery,
@@ -55,10 +49,6 @@ __all__ = [
     "is_variable",
 ]
 
-#: Execution strategies accepted by :meth:`QueryEngine.execute`.
-STRATEGIES = ("auto", "id", "backtracking")
-
-
 class QueryEngine:
     """Evaluates :class:`PatternQuery` objects against a :class:`TripleStore`."""
 
@@ -74,54 +64,37 @@ class QueryEngine:
         return plan_query(self.store, query, reorder=reorder)
 
     def execute(self, query: PatternQuery, reorder: bool = True,
-                strategy: str = "auto",
                 limit: Optional[int] = None) -> List[Binding]:
         """Return all variable bindings satisfying every pattern.
 
         With ``reorder`` (the default) patterns are evaluated in batched
         ``count_many`` selectivity order — fewest matching triples first
         — which is what keeps conjunctive queries fast on skewed stores;
-        the binding *set* is unaffected by ordering.  ``strategy`` picks
-        the executor: ``"auto"`` (ID-space when the backend and query
-        allow it, else backtracking), ``"id"`` (ID-space or raise
-        :class:`~repro.errors.QueryError`), or ``"backtracking"`` (the
-        legacy symbol-level evaluator, kept as the parity oracle).
-        ``limit`` caps the materialized rows (overriding any cap on the
-        query itself); ``limit=0`` raises — see
+        the binding *set* is unaffected by ordering.  ``limit`` caps the
+        materialized rows (overriding any cap on the query itself);
+        ``limit=0`` raises — see
         :func:`repro.kg.planner.validate_limit`.
 
         A ``select`` naming a variable that never binds raises
         :class:`~repro.errors.QueryError` instead of silently dropping
         the column from result rows.
         """
-        return self.execute_many([query], reorder=reorder, strategy=strategy,
-                                 limit=limit)[0]
+        return self.execute_many([query], reorder=reorder, limit=limit)[0]
 
     def execute_many(self, queries: Sequence[PatternQuery], reorder: bool = True,
-                     strategy: str = "auto",
                      limit: Optional[int] = None) -> List[List[Binding]]:
         """Execute a batch of queries with batched planning and fetching.
 
         Planning issues one ``count_many`` over every pattern of every
-        query; execution advances all ID-space-executable plans in
-        lockstep so each round's pattern fetches collapse into a single
-        ``match_ids_many`` backend call.  This is the entry point
+        query; execution advances all plans in lockstep so each round's
+        pattern fetches collapse into a single ``match_ids_many`` backend
+        call.  This is the entry point
         :class:`~repro.kg.service.QueryService` multiplexes concurrent
         clients onto.  ``limit`` (when given) caps every query in the
         batch.
         """
         queries = self._capped(queries, limit)
-        if strategy not in STRATEGIES:
-            raise QueryError(
-                f"unknown execution strategy {strategy!r} (known: "
-                f"{', '.join(STRATEGIES)})")
         plans = plan_queries(self.store, queries, reorder=reorder)
-        if strategy == "backtracking":
-            return [self._capped_rows(execute_backtracking(self.store, plan),
-                                      plan.query.limit) for plan in plans]
-        if strategy == "id":
-            for plan in plans:
-                require_id_space(self.store, plan)
         return execute_plans(self.store, plans)
 
     def cursor(self, query: PatternQuery, reorder: bool = True,
@@ -150,10 +123,6 @@ class QueryEngine:
         if limit is None:
             return queries
         return [replace(query, limit=limit) for query in queries]
-
-    @staticmethod
-    def _capped_rows(rows: List[Binding], limit: Optional[int]) -> List[Binding]:
-        return rows if limit is None else rows[:limit]
 
     # ------------------------------------------------------------------ #
     # convenience helpers used by the applications layer

@@ -63,7 +63,6 @@ from pathlib import Path
 from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError
-from repro.kg.backend import supports_id_queries
 from repro.kg.executor import IdBlock
 from repro.kg.planner import PatternQuery
 from repro.kg.protocol import (
@@ -367,9 +366,8 @@ class KGServer:
     max_frame_bytes:
         Per-frame payload cap, both directions.
     codec:
-        ``"auto"`` (default) grants binary negotiation when the backend
-        has an id surface; ``"json"`` declines it, pinning every
-        connection to the JSON codec.
+        ``"auto"`` (default) grants binary negotiation; ``"json"``
+        declines it, pinning every connection to the JSON codec.
     workers:
         Size of the pool running blocking service calls.
 
@@ -874,9 +872,9 @@ class KGServer:
         return self._encode_json_response(conn, response), False
 
     def _serve_hello(self, conn: _Connection, message: dict) -> bytes:
-        """Codec negotiation.  Grant binary only when policy and backend
-        allow; the reply itself always uses the connection's *current*
-        codec, so the client flips exactly after reading the ack."""
+        """Codec negotiation.  Grant binary only when policy allows; the
+        reply itself always uses the connection's *current* codec, so
+        the client flips exactly after reading the ack."""
         request_id = message.get("id")
         codecs = message.get("codecs", [])
         if not (isinstance(codecs, list)
@@ -888,8 +886,7 @@ class KGServer:
                 conn, {"id": request_id, "ok": False,
                        "error": error_to_wire(exc)})
         backend = self.service.store.backend
-        grant = (CODEC_BINARY in codecs and self.codec == "auto"
-                 and supports_id_queries(backend))
+        grant = CODEC_BINARY in codecs and self.codec == "auto"
         granted = CODEC_BINARY if grant else CODEC_JSON
         frame = self._encode_json_response(
             conn, {"id": request_id, "ok": True,
@@ -1022,10 +1019,7 @@ class KGServer:
             pattern = _wire_pattern(_field(message, "pattern", list,
                                            "an array"))
             if raw:
-                result = self.service.submit_lookup(pattern,
-                                                    raw=True).result()
-                return result if isinstance(result, IdBlock) \
-                    else _wire_triples(result)
+                return self.service.submit_lookup(pattern, raw=True).result()
             return _wire_triples(self.service.lookup_many([pattern])[0])
         if op == "match_many":
             patterns = [_wire_pattern(pattern) for pattern in
@@ -1033,10 +1027,7 @@ class KGServer:
             if raw:
                 futures = [self.service.submit_lookup(pattern, raw=True)
                            for pattern in patterns]
-                return [result if isinstance(result, IdBlock)
-                        else _wire_triples(result)
-                        for result in (future.result()
-                                       for future in futures)]
+                return [future.result() for future in futures]
             return [_wire_triples(triples)
                     for triples in self.service.lookup_many(patterns)]
         if op == "match_ids_many":
@@ -1097,11 +1088,10 @@ class KGServer:
     def _role_info(self) -> dict:
         """The ``role`` handshake: who this server is in a cluster.
 
-        The ``fingerprint`` field (id-capable backends only) digests
-        both interner tables; a coordinator whose own interners carry
-        the same fingerprint knows the server's id space is identical
-        to its own and may ship raw id-space queries
-        (``match_ids_many``) instead of strings.
+        The ``fingerprint`` field digests both interner tables; a
+        coordinator whose own interners carry the same fingerprint knows
+        the server's id space is identical to its own and may ship raw
+        id-space queries (``match_ids_many``) instead of strings.
         """
         store = self.service.store
         backend = store.backend
@@ -1111,10 +1101,9 @@ class KGServer:
                 "writable": store.writable,
                 "generation": store.live_generation,
                 "triples": len(store),
-                "backend": store.backend_name}
-        if supports_id_queries(backend):
-            info["fingerprint"] = interner_fingerprint(
-                backend.entity_interner, backend.relation_interner)
+                "backend": store.backend_name,
+                "fingerprint": interner_fingerprint(
+                    backend.entity_interner, backend.relation_interner)}
         if self.role == "replica":
             info["replication"] = self._replication_snapshot()
         return info

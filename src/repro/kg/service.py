@@ -83,7 +83,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import CursorError, QueryError, StorageError
-from repro.kg.backend import Pattern, supports_id_queries
+from repro.kg.backend import Pattern
 from repro.kg.executor import (Binding, IdBlock, ResultCursor,
                                execute_plans_cursors)
 from repro.kg.planner import (PatternQuery, cache_key as plan_cache_key,
@@ -140,8 +140,7 @@ class _Request:
 
     ``raw`` requests resolve to id-space results
     (:class:`~repro.kg.executor.IdBlock`) instead of materialized
-    strings — the handoff the binary wire codec serves from, falling
-    back to materialized lists when the backend has no id surface.
+    strings — the handoff the binary wire codec serves from.
     """
 
     __slots__ = ("kind", "payload", "reorder", "raw", "future", "cache_key")
@@ -282,12 +281,8 @@ class QueryService:
         # Monotonically increasing write clock: +1 per acked write batch.
         self.mutation_epoch = 0
         self.write_batches = 0
-        # The result cache only understands id-space results; a backend
-        # without the id surface (or a zero budget) runs uncached.
         self._cache: Optional[_ResultCache] = (
-            _ResultCache(cache_bytes)
-            if cache_bytes > 0 and supports_id_queries(store.backend)
-            else None)
+            _ResultCache(cache_bytes) if cache_bytes > 0 else None)
         self._warm_up()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="kg-query-service", daemon=True)
@@ -348,19 +343,11 @@ class QueryService:
         copying any column data (a wildcard ``match_ids`` would
         materialize the whole store once just to throw it away).
         """
-        backend = self.store.backend
-        if supports_id_queries(backend):
-            backend.count_ids()
-        else:
-            self.store.count()
+        self.store.backend.count_ids()
 
     def _apply_swap(self, new_store: TripleStore) -> TripleStore:
         """Dispatcher-side half of :meth:`swap_store`."""
-        backend = new_store.backend
-        if supports_id_queries(backend):
-            backend.count_ids()
-        else:
-            new_store.count()
+        new_store.backend.count_ids()
         old_store, self.store = self.store, new_store
         return old_store
 
@@ -372,9 +359,9 @@ class QueryService:
         """Enqueue one query; returns a future yielding ``List[Binding]``.
 
         With ``raw=True`` the future yields the id-space
-        :class:`~repro.kg.executor.IdBlock` projection instead (or the
-        materialized list when the plan fell back to backtracking) —
-        the binary wire path, which never stringifies a row.
+        :class:`~repro.kg.executor.IdBlock` projection instead (an empty
+        or no-variable result stays a list) — the binary wire path,
+        which never stringifies a row.
         """
         return self._enqueue(_Request(_QUERY, query, reorder, raw=raw))
 
@@ -385,15 +372,24 @@ class QueryService:
         ``?variable`` here is almost certainly a pattern query routed to
         the wrong entry point, and would otherwise silently match
         nothing; use :meth:`submit` for variables.  ``raw=True`` yields
-        a triples :class:`~repro.kg.executor.IdBlock` when the backend
-        has an id surface (a ``List[Triple]`` otherwise).
+        a triples :class:`~repro.kg.executor.IdBlock`.
         """
         return self._enqueue(_Request(_LOOKUP, self._checked_pattern(pattern),
                                       True, raw=raw))
 
     @staticmethod
     def _checked_pattern(pattern: Pattern) -> Pattern:
+        """Refuse a malformed point pattern in the caller's thread.
+
+        A pattern that reached the dispatcher with the wrong arity would
+        fail the whole batched backend call, and with it every
+        batchmate's request.
+        """
         pattern = tuple(pattern)
+        if len(pattern) != 3:
+            raise QueryError(
+                f"point patterns have exactly 3 terms, got {len(pattern)}: "
+                f"{pattern!r}")
         for term in pattern:
             if isinstance(term, str) and term.startswith("?"):
                 raise QueryError(
@@ -427,13 +423,8 @@ class QueryService:
         :class:`~repro.kg.cluster.ClusterBackend` whose interner tables
         match this store's fingerprint ships executor id patterns
         straight through and splices the returned blocks into its own
-        join rounds.  Requires an id-capable backend
-        (:class:`~repro.errors.QueryError` otherwise).
+        join rounds.
         """
-        if not supports_id_queries(self.store.backend):
-            raise QueryError(
-                "backend has no id-query surface; use submit_lookup for "
-                "string patterns")
         checked = []
         for term in tuple(id_pattern):
             if term is None:
@@ -834,12 +825,11 @@ class QueryService:
     def _serve_lookups(self, requests: List[_Request]) -> None:
         # Two batched backend calls at most: raw lookups and match
         # cursors stay in id space (the binary wire path and the paging
-        # path both want the compact block), everything else takes the
-        # legacy string surface.
-        id_capable = supports_id_queries(self.store.backend)
+        # path both want the compact block), plain lookups take the
+        # string surface.
         id_requests, string_requests = [], []
         for request in requests:
-            if id_capable and (request.raw or request.kind == _CURSOR_MATCH):
+            if request.raw or request.kind == _CURSOR_MATCH:
                 id_requests.append(request)
             else:
                 string_requests.append(request)
@@ -855,11 +845,7 @@ class QueryService:
                 _resolve(request.future, exception=exc)
             return
         for request, result in zip(string_requests, results):
-            if request.kind == _CURSOR_MATCH:
-                _resolve(request.future,
-                         self._register_cursor(ResultCursor.from_list(result)))
-            else:
-                _resolve(request.future, result)
+            _resolve(request.future, result)
 
     def _serve_id_lookups(self, requests: List[_Request]) -> None:
         """Batched point lookups answered as (n, 3) id blocks."""

@@ -7,8 +7,7 @@ paths and an iterator form (:meth:`iter_match`) that never materializes a
 list.  Storage lives behind the :class:`~repro.kg.backend.GraphBackend`
 protocol; the default :class:`~repro.kg.backend.ColumnarBackend` interns
 identifiers to contiguous int ids and answers pattern queries from numpy
-CSR adjacency slices, while :class:`~repro.kg.backend.SetBackend` keeps
-the original dict-of-set design for parity testing.
+CSR adjacency slices.
 
 ``match`` returns results in backend-defined (deterministic per process)
 order; pass ``sort=True`` when a deterministic sorted order is required.
@@ -226,8 +225,9 @@ class TripleStore:
         """Persist the store as an on-disk, memory-mappable directory.
 
         Backends of the columnar family write their own consolidated
-        state; other backends (e.g. ``set``) are first copied through an
-        in-memory :class:`~repro.kg.backend.ColumnarBackend`.  Reopen
+        state; other backends (e.g. a cluster coordinator) are first
+        copied through an in-memory
+        :class:`~repro.kg.backend.ColumnarBackend`.  Reopen
         with :meth:`TripleStore.open`.
         """
         backend = self._backend

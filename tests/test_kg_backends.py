@@ -1,8 +1,9 @@
 """Backend parity: every backend must agree with the SetBackend reference.
 
-The columnar backend is the default store; the set backend is the
-reference implementation; the mmap backend shares the columnar query
-core over a (possibly on-disk) base block.  These tests drive all of
+The columnar backend is the default store; the dict-of-set
+``kg_oracle.SetBackend`` is the test-only reference implementation; the
+mmap backend shares the columnar query core over a (possibly on-disk)
+base block.  These tests drive all of
 them — including delta-overlay configurations that force eager rebuilds
 (threshold 0) and constant overlay churn (tiny thresholds) — through
 randomized add/discard/query workloads and through the serialization
@@ -11,17 +12,27 @@ layer and assert identical observable behaviour.
 
 from __future__ import annotations
 
+import kg_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kg.backend import ColumnarBackend, Interner, SetBackend, make_backend
+from repro.kg.backend import (
+    BACKENDS,
+    ColumnarBackend,
+    GraphBackend,
+    Interner,
+    make_backend,
+)
+from repro.kg.cluster import ClusterBackend
 from repro.kg.mmap_backend import MmapBackend
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.serialization import read_tsv, write_tsv
 from repro.kg.store import TripleStore
 from repro.kg.triple import Triple, triples_from_tuples
+
+SetBackend = kg_oracle.SetBackend
 
 #: Non-reference backend factories, keyed by a readable parametrize id.
 #: delta_threshold=0 forces a full rebuild per mutation burst (the old
@@ -75,13 +86,39 @@ def test_interner_assigns_dense_stable_ids():
 
 
 def test_make_backend_registry():
-    assert isinstance(make_backend("set"), SetBackend)
+    assert sorted(BACKENDS) == ["columnar", "mmap", "sharded"]
     assert isinstance(make_backend("columnar"), ColumnarBackend)
     assert isinstance(make_backend("mmap"), MmapBackend)
     assert isinstance(make_backend("sharded"), ShardedBackend)
     assert make_backend("sharded", n_shards=8).n_shards == 8
-    with pytest.raises(ValueError):
-        make_backend("no-such-backend")
+    for unknown in ("no-such-backend", "set"):
+        with pytest.raises(ValueError):
+            make_backend(unknown)
+
+
+_ID_SURFACE = ("entity_interner", "relation_interner", "match_ids",
+               "match_ids_many", "count_ids")
+
+
+def test_every_servable_backend_has_the_id_surface():
+    """Every registered backend and the cluster coordinator implement the
+    whole ``GraphBackend`` protocol, id surface included: the executor has
+    no string-level fallback, so a string-only backend must not register."""
+    backends = [make_backend(name) for name in sorted(BACKENDS)]
+    # No handshake: the constructor then opens no connection.
+    cluster = ClusterBackend(["127.0.0.1:9"], handshake=False)
+    try:
+        for backend in backends + [cluster]:
+            assert isinstance(backend, GraphBackend), type(backend).__name__
+            assert isinstance(backend.entity_interner, Interner)
+            assert isinstance(backend.relation_interner, Interner)
+            for name in _ID_SURFACE[2:]:
+                assert callable(getattr(backend, name)), name
+    finally:
+        cluster.close()
+    reference = SetBackend()
+    assert not isinstance(reference, GraphBackend)
+    assert not any(hasattr(reference, name) for name in _ID_SURFACE)
 
 
 # --------------------------------------------------------------------------- #
@@ -251,7 +288,8 @@ def test_store_facade_roundtrip(backend_name):
         ("p1", "brandIs", "apple"), ("p2", "brandIs", "apple"),
         ("p1", "placeOfOrigin", "china"),
     ])
-    store = TripleStore(triples, backend=backend_name)
+    backend = SetBackend() if backend_name == "set" else backend_name
+    store = TripleStore(triples, backend=backend)
     assert store.backend_name == backend_name
     assert len(store) == 3
     assert store.count(relation="brandIs") == 2
@@ -275,7 +313,8 @@ def test_vocabularies_and_id_arrays_backend_independent(rows):
 
     graphs = {}
     for backend_name in ("set", "columnar"):
-        graph = KnowledgeGraph(backend=backend_name)
+        graph = KnowledgeGraph(backend=SetBackend() if backend_name == "set"
+                               else backend_name)
         graph.add_many(triples_from_tuples(rows))
         graphs[backend_name] = graph
     vocab_set = graphs["set"].build_vocabularies()

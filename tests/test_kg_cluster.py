@@ -150,8 +150,8 @@ def cluster_factory():
 
 def test_cluster_passes_backend_parity_suite_unchanged(cluster_factory):
     """The ISSUE's contract: the same property tests that pin every
-    in-process backend to the SetBackend reference accept the cluster
-    factory with no edits."""
+    in-process backend to the ``kg_oracle.SetBackend`` reference accept
+    the cluster factory with no edits."""
     test_backend_parity_random_workload(cluster_factory)
     test_backend_parity_batched_queries(cluster_factory)
 

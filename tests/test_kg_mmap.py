@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import kg_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +117,15 @@ def test_mmap_mutate_after_open_then_resave(tmp_path_factory, rows, extra):
     _assert_query_parity(columnar, reloaded, rows + extra)
 
 
+def _backend(name: str):
+    """A registered backend name, or the reference store for ``"set"``.
+
+    A store without its own ``save`` (the reference store, a cluster
+    coordinator) persists through an in-memory columnar copy.
+    """
+    return kg_oracle.SetBackend() if name == "set" else name
+
+
 def test_store_facade_save_open_roundtrip(tmp_path):
     triples = triples_from_tuples([
         ("p1", "brandIs", "apple"), ("p2", "brandIs", "apple"),
@@ -123,7 +133,7 @@ def test_store_facade_save_open_roundtrip(tmp_path):
     ])
     for backend_name in ("set", "columnar", "mmap"):
         directory = tmp_path / backend_name
-        store = TripleStore(triples, backend=backend_name)
+        store = TripleStore(triples, backend=_backend(backend_name))
         store.save(directory)
         reopened = TripleStore.open(directory)
         assert reopened.backend_name == "mmap"
@@ -152,7 +162,7 @@ def test_zero_triple_store_save_reopen(tmp_path, backend_name):
     ``np.memmap`` rejects — the open path must special-case them.
     """
     directory = tmp_path / backend_name
-    TripleStore(backend=backend_name).save(directory)
+    TripleStore(backend=_backend(backend_name)).save(directory)
     reopened = TripleStore.open(directory)
     assert len(reopened) == 0
     assert reopened.match() == []

@@ -1,26 +1,35 @@
-"""Tests for the plan/execute query layer (ID-space executor parity)."""
+"""Tests for the plan/execute query layer (ID-space executor parity).
+
+Every answer is compared with ``kg_oracle``: the symbol-level
+backtracking evaluator, on the same store and on the dict-of-set
+reference store.
+"""
 
 from __future__ import annotations
 
+import kg_oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
-from repro.kg.backend import supports_id_queries
+from repro.kg.executor import execute_plan
 from repro.kg.planner import plan_queries, plan_query
 from repro.kg.query import PatternQuery, QueryEngine
 from repro.kg.sharded_backend import ShardedBackend
 from repro.kg.store import TripleStore
 from repro.kg.triple import triples_from_tuples
 
-BACKENDS = ("set", "columnar", "mmap", "sharded")
+BACKENDS = ("columnar", "mmap", "sharded")
 
 
 def _store(rows, backend: str) -> TripleStore:
     if backend == "sharded":
         return TripleStore(triples_from_tuples(rows),
                            backend=ShardedBackend(n_shards=2))
+    if backend == "set":
+        return TripleStore(triples_from_tuples(rows),
+                           backend=kg_oracle.SetBackend())
     return TripleStore(triples_from_tuples(rows), backend=backend)
 
 
@@ -63,42 +72,62 @@ def test_id_executor_matches_backtracking_on_samples(backend):
     for query in SAMPLE_QUERIES:
         for reorder in (True, False):
             auto = engine.execute(query, reorder=reorder)
-            legacy = engine.execute(query, reorder=reorder,
-                                    strategy="backtracking")
+            legacy = kg_oracle.execute(engine.store, query, reorder=reorder)
             assert _binding_set(auto) == _binding_set(legacy), query
 
 
-@pytest.mark.parametrize("backend", ("columnar", "mmap", "sharded"))
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_id_strategy_explicitly(backend):
-    engine = QueryEngine(_store(SAMPLE_ROWS, backend))
-    query = SAMPLE_QUERIES[2]
-    assert _binding_set(engine.execute(query, strategy="id")) == \
-        _binding_set(engine.execute(query, strategy="backtracking"))
+    """The ID-space executor run on a plan directly, without the facade."""
+    store = _store(SAMPLE_ROWS, backend)
+    plan = plan_query(store, SAMPLE_QUERIES[2])
+    assert _binding_set(execute_plan(store, plan)) == \
+        _binding_set(kg_oracle.execute_backtracking(store, plan))
 
 
-def test_id_strategy_rejected_on_set_backend():
-    engine = QueryEngine(_store(SAMPLE_ROWS, "set"))
-    with pytest.raises(QueryError, match="id-level"):
-        engine.execute(SAMPLE_QUERIES[0], strategy="id")
+#: ``brandIs`` and ``r`` are relations AND entities here, so a variable
+#: binding in both positions has non-empty answers.
+MIXED_ROWS = SAMPLE_ROWS + [("brandIs", "r", "x"), ("p1", "r", "brandIs"),
+                            ("r", "r", "p2")]
 
-
-def test_id_strategy_rejected_on_mixed_kind_variable():
-    engine = QueryEngine(_store(SAMPLE_ROWS + [("brandIs", "r", "x")], "columnar"))
+MIXED_QUERIES = [
     # ?m binds a relation in the first pattern and an entity in the second.
-    query = PatternQuery.from_patterns([("?p", "?m", "apple"), ("?m", "r", "?t")])
-    with pytest.raises(QueryError, match="entity and relation"):
-        engine.execute(query, strategy="id")
-    # auto falls back to backtracking and still answers.
-    auto = engine.execute(query)
-    legacy = engine.execute(query, strategy="backtracking")
-    assert _binding_set(auto) == _binding_set(legacy)
-    assert auto  # (?p=brandIs is not a real binding; ?m=brandIs joins both)
+    PatternQuery.from_patterns([("?p", "?m", "apple"), ("?m", "r", "?t")]),
+    # ... and the other way round: entity first, relation second.
+    PatternQuery.from_patterns([("?p", "r", "?m"), ("?x", "?m", "?t")],
+                               select=["?m", "?t"]),
+    # Relation and head of the same pattern.
+    PatternQuery.from_patterns([("?m", "?m", "?t")]),
+    # A relation that is no entity (``headquartersIn``) cannot bind.
+    PatternQuery.from_patterns([("?a", "?m", "america"), ("?m", "?r", "?t")]),
+]
 
 
-def test_unknown_strategy_raises():
-    engine = QueryEngine(_store(SAMPLE_ROWS, "columnar"))
-    with pytest.raises(QueryError, match="unknown execution strategy"):
-        engine.execute(SAMPLE_QUERIES[0], strategy="vectorized")
+def test_mixed_kind_variable_answered_in_id_space(tmp_path):
+    """A variable in entity AND relation positions gets the oracle's
+    answers from the ID-space executor (id-backed cursors, no fallback)."""
+    reference = _store(MIXED_ROWS, "set")
+    expected = [_binding_set(kg_oracle.execute(reference, query))
+                for query in MIXED_QUERIES]
+    assert expected[0] == {
+        frozenset({("?p", "p1"), ("?m", "brandIs"), ("?t", "x")}),
+        frozenset({("?p", "p2"), ("?m", "brandIs"), ("?t", "x")})}
+    assert expected[1] == {frozenset({("?m", "brandIs"), ("?t", "apple")}),
+                           frozenset({("?m", "brandIs"), ("?t", "tesla")})}
+    assert expected[2] == {frozenset({("?m", "r"), ("?t", "p2")})}
+    assert expected[3] == set()
+    _store(MIXED_ROWS, "columnar").save(tmp_path / "store")
+    stores = {backend: _store(MIXED_ROWS, backend) for backend in BACKENDS}
+    stores["reopened"] = TripleStore.open(tmp_path / "store")
+    for name, store in stores.items():
+        engine = QueryEngine(store)
+        for reorder in (True, False):
+            assert [_binding_set(rows) for rows in engine.execute_many(
+                MIXED_QUERIES, reorder=reorder)] == expected, (name, reorder)
+            for query, answer in zip(MIXED_QUERIES, expected):
+                cursor = engine.cursor(query, reorder=reorder)
+                assert cursor.id_backed == bool(answer)
+                assert _binding_set(cursor.fetch_all()) == answer
 
 
 def test_repeated_variable_within_pattern():
@@ -107,7 +136,7 @@ def test_repeated_variable_within_pattern():
         engine = QueryEngine(_store(rows, backend))
         query = PatternQuery.from_patterns([("?x", "r", "?x")])
         assert engine.execute(query) == [{"?x": "loop"}]
-        assert engine.execute(query, strategy="backtracking") == [{"?x": "loop"}]
+        assert kg_oracle.execute(engine.store, query) == [{"?x": "loop"}]
 
 
 def test_cartesian_product_between_disjoint_patterns():
@@ -116,20 +145,26 @@ def test_cartesian_product_between_disjoint_patterns():
         query = PatternQuery.from_patterns([("?p", "brandIs", "apple"),
                                             ("?b", "headquartersIn", "?c")])
         auto = engine.execute(query)
-        legacy = engine.execute(query, strategy="backtracking")
+        legacy = kg_oracle.execute(engine.store, query)
         assert _binding_set(auto) == _binding_set(legacy)
         assert len(auto) == 4  # 2 apple products x 2 headquarters
 
 # --------------------------------------------------------------------------- #
 # select validation (the silently-dropped-variable bugfix)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", ("auto", "backtracking"))
-def test_select_unknown_variable_raises_naming_it(strategy):
-    engine = QueryEngine(_store(SAMPLE_ROWS, "columnar"))
+#: ``auto`` is the engine's ID-space path, ``backtracking`` the oracle.
+EVALUATORS = {"auto": lambda store, query: QueryEngine(store).execute(query),
+              "backtracking": kg_oracle.execute}
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS.values(),
+                         ids=EVALUATORS.keys())
+def test_select_unknown_variable_raises_naming_it(evaluator):
+    store = _store(SAMPLE_ROWS, "columnar")
     query = PatternQuery.from_patterns([("?p", "brandIs", "apple")],
                                        select=["?p", "?brand"])
     with pytest.raises(QueryError, match=r"\?brand"):
-        engine.execute(query, strategy=strategy)
+        evaluator(store, query)
 
 
 def test_select_non_variable_raises():
@@ -180,12 +215,6 @@ def test_plan_many_batches_counts(monkeypatch):
     assert calls == [sum(len(query.patterns) for query in queries)]
 
 
-def test_supports_id_queries_flags():
-    assert not supports_id_queries(_store(SAMPLE_ROWS, "set").backend)
-    for backend in ("columnar", "mmap", "sharded"):
-        assert supports_id_queries(_store(SAMPLE_ROWS, backend).backend)
-
-
 # --------------------------------------------------------------------------- #
 # reopened (on-disk) stores
 # --------------------------------------------------------------------------- #
@@ -197,17 +226,17 @@ def test_executor_parity_on_reopened_store(tmp_path, backend):
     engine = QueryEngine(reopened)
     memory_engine = QueryEngine(store)
     for query in SAMPLE_QUERIES:
-        expected = _binding_set(memory_engine.execute(query,
-                                                      strategy="backtracking"))
+        expected = _binding_set(kg_oracle.execute(memory_engine.store, query))
         assert _binding_set(engine.execute(query)) == expected
-        assert _binding_set(engine.execute(query,
-                                           strategy="backtracking")) == expected
+        assert _binding_set(kg_oracle.execute(reopened, query)) == expected
 
 
 # --------------------------------------------------------------------------- #
 # property test: random stores, random queries, every backend
 # --------------------------------------------------------------------------- #
-_ENTITIES = ("a", "b", "c", "d")
+# ``r`` and ``s`` are entities as well as relations, so a variable that
+# binds in both positions has non-empty answers.
+_ENTITIES = ("a", "b", "r", "s")
 _RELATIONS = ("r", "s")
 _VARIABLES = ("?x", "?y", "?z")
 
@@ -229,28 +258,27 @@ _query_strategy = st.lists(
        select_bits=st.integers(min_value=0, max_value=7))
 def test_property_id_executor_bit_identical_binding_sets(rows, patterns,
                                                          select_bits):
-    """Property: ID-space and backtracking binding sets agree everywhere.
+    """Property: ID-space binding sets equal the oracle's everywhere.
 
     Random small stores and random conjunctive queries (including
     relation variables, repeated variables and variables that mix
-    entity/relation positions — the auto strategy must fall back
-    correctly), across all four backends.  ``select`` projects a random
-    subset of the bound variables.
+    entity/relation positions), on every backend, against the
+    backtracking oracle over the dict-of-set store.  ``select``
+    projects a random subset of the bound variables.
     """
     query = PatternQuery.from_patterns(patterns)
     variables = query.variables()
     select = [var for bit, var in enumerate(variables) if select_bits >> bit & 1]
     query = PatternQuery.from_patterns(patterns, select=select)
-    reference = None
+    reference = _binding_set(kg_oracle.execute(_store(rows, "set"), query))
+    mixed = {pattern[1] for pattern in patterns} & \
+        {term for pattern in patterns for term in (pattern[0], pattern[2])} & \
+        set(_VARIABLES)
+    if mixed:
+        event("mixed-kind, " + ("non-empty" if reference else "empty"))
     for backend in BACKENDS:
         engine = QueryEngine(_store(rows, backend))
-        legacy = _binding_set(engine.execute(query, strategy="backtracking"))
-        auto = _binding_set(engine.execute(query))
-        assert auto == legacy
-        if reference is None:
-            reference = legacy
-        else:
-            assert legacy == reference  # backends agree with each other
+        assert _binding_set(engine.execute(query)) == reference, backend
 
 
 # --------------------------------------------------------------------------- #
@@ -269,7 +297,9 @@ def test_limit_is_a_prefix_of_the_unlimited_result(backend):
     assert engine.execute(capped) == full[:2]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+# The planner refuses a bad limit before anything executes, so the check
+# holds over the reference store as well.
+@pytest.mark.parametrize("backend", BACKENDS + ("set",))
 def test_limit_zero_and_negative_raise(backend):
     engine = QueryEngine(_store(SAMPLE_ROWS, backend))
     query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])

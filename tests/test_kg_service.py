@@ -103,12 +103,62 @@ def test_service_point_lookups_match_store(store):
         assert service.lookup_many(patterns) == store.match_many(patterns)
 
 
+def _stall_dispatcher(service, store):
+    """Park the dispatcher inside a count; returns (release gate, future).
+
+    Everything submitted before the gate opens lands in ONE later batch.
+    """
+    gate, entered = threading.Event(), threading.Event()
+    original = store.count_many
+
+    def blocking(patterns):
+        entered.set()
+        gate.wait(timeout=10)
+        return original(patterns)
+
+    store.count_many = blocking
+    try:
+        stalled = service.submit_count((None, None, None))
+        assert entered.wait(timeout=10)
+    finally:
+        store.count_many = original
+    return gate, stalled
+
+
 def test_service_lookup_rejects_variable_terms(store):
     """A '?var' in a point lookup is a misrouted pattern query — loud
-    error, not a silently empty result."""
+    error, not a silently empty result.  A pattern that is not exactly
+    3 terms is refused in the caller's thread too: queued, it used to
+    fail the batched backend call of every lookup it shared a batch
+    with."""
+    good = ("product:0001", None, None)
+    expected = store.match(*good)
+    bad_patterns = (("product:0001", "brandIs"),
+                    ("product:0001", "brandIs", "brand:1", None))
     with QueryService(store) as service:
         with pytest.raises(QueryError, match=r"\?p.*PatternQuery"):
             service.submit_lookup(("?p", "brandIs", "brand:1"))
+        for bad in bad_patterns:
+            with pytest.raises(QueryError, match="exactly 3 terms"):
+                service.open_match_cursor(bad)
+            for raw in (False, True):
+                gate, stalled = _stall_dispatcher(service, store)
+                try:
+                    before = service.submit_lookup(good, raw=raw)
+                    with pytest.raises(QueryError, match="exactly 3 terms"):
+                        service.submit_lookup(bad, raw=raw)
+                    with pytest.raises(QueryError, match="exactly 3 terms"):
+                        service.submit_count(bad)
+                    after = service.submit_lookup(good, raw=raw)
+                finally:
+                    gate.set()
+                assert stalled.result(timeout=10) == len(store)
+                for future in (before, after):
+                    result = future.result(timeout=10)
+                    if raw:
+                        assert len(result) == len(expected)
+                    else:
+                        assert result == expected
 
 
 def test_service_mixed_queries_and_lookups(store):
@@ -267,14 +317,6 @@ def test_service_cursors_released_on_close(store):
 def test_service_invalid_cursor_ttl(store):
     with pytest.raises(ValueError):
         QueryService(store, cursor_ttl=0)
-
-
-def test_service_works_on_set_backend_via_fallback():
-    store = TripleStore(triples_from_tuples(_rows()[:60]), backend="set")
-    query = PatternQuery.from_patterns([("?p", "brandIs", "?b")])
-    with QueryService(store) as service:
-        assert _canonical([service.execute(query)]) == \
-            _canonical([QueryEngine(store).execute(query)])
 
 
 def test_service_invalid_max_batch(store):

@@ -48,6 +48,8 @@ def _base_rows():
         product = f"product:{index:03d}"
         rows.append((product, "brandIs", f"brand:{index % 4}"))
         rows.append((product, "rdf:type", f"category:{index % 3}"))
+    # A relation that is also an entity: mixed-kind queries have answers.
+    rows.append(("brandIs", "rdf:type", "relation"))
     return rows
 
 
@@ -61,9 +63,9 @@ def _make_store(backend_name: str) -> TripleStore:
 
 
 #: A pool of queries spanning the cacheable and uncacheable shapes:
-#: joins, constants, selects, limits, unknown constants, and a
-#: mixed-kind query (variable in entity AND relation position) that the
-#: cache must bypass.
+#: joins, constants, selects, limits, unknown constants, and mixed-kind
+#: queries (a variable in entity AND relation position; the second one
+#: has answers while ``brandIs rdf:type relation`` is in the store).
 _QUERIES = [
     PatternQuery.from_patterns([("?p", "brandIs", "?b")]),
     PatternQuery.from_patterns([("?p", "brandIs", "brand:1")],
@@ -79,6 +81,8 @@ _QUERIES = [
                                limit=5),
     PatternQuery.from_patterns([("?p", "?q", "?t"),
                                 ("?q", "brandIs", "?b")]),
+    PatternQuery.from_patterns([("?p", "?q", "brand:1"),
+                                ("?q", "rdf:type", "?c")], limit=4),
 ]
 
 #: Triples the write ops flip in and out, overlapping the base rows so
@@ -88,7 +92,8 @@ _WRITE_POOL = triples_from_tuples(
      for index in range(6)]
     + [(f"extra:{index}", "brandIs", f"brand:{index % 4}")
        for index in range(6)]
-    + [(f"extra:{index}", "rdf:type", "category:0") for index in range(4)])
+    + [(f"extra:{index}", "rdf:type", "category:0") for index in range(4)]
+    + [("brandIs", "rdf:type", "relation")])
 
 _OP = st.one_of(
     st.tuples(st.just("query"),
@@ -154,14 +159,30 @@ def test_cache_key_is_limit_independent_and_shape_sensitive():
     known = PatternQuery.from_patterns([("?p", "brandIs", "brand:1")])
     unknown = PatternQuery.from_patterns([("?p", "brandIs", "brand:nope")])
     assert cache_key(backend, known) != cache_key(backend, unknown)
-    # Mixed-kind variables (entity + relation position) are uncacheable.
+    # Mixed-kind variables (entity + relation position) run in id space
+    # like any other query, so they are cacheable too.
     mixed = PatternQuery.from_patterns([("?p", "?q", "?t"),
                                         ("?q", "brandIs", "?b")])
-    assert cache_key(backend, mixed) is None
-    # So is a query projecting no columns at all.
+    assert cache_key(backend, mixed) is not None
+    assert cache_key(backend, mixed) != cache_key(
+        backend, PatternQuery.from_patterns([("?p", "?q", "?t"),
+                                             ("?r", "brandIs", "?b")]))
+    # A query projecting no columns at all is uncacheable.
     constant = PatternQuery.from_patterns(
         [("product:000", "brandIs", "brand:0")])
     assert cache_key(backend, constant) is None
+
+
+def test_mixed_kind_query_is_cached_and_invalidated():
+    query = _QUERIES[-1]
+    with QueryService(_make_store("columnar")) as service:
+        first = service.execute(query)
+        assert first and {row["?q"] for row in first} == {"brandIs"}
+        assert service.execute(query) == first
+        assert service.stats["cache_hits"] == 1
+        service.remove_many([Triple("brandIs", "rdf:type", "relation")])
+        assert service.execute(query) == []
+        assert service.stats["cache_misses"] == 2
 
 
 def test_limit_variants_share_one_cache_entry():

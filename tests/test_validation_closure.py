@@ -5,7 +5,8 @@ verbatim, except that its subclass test is a module function (the
 earlier ``KnowledgeGraph.is_subclass_of`` BFS, also verbatim) instead of
 a graph method.  It re-walks the taxonomy with scalar store reads for
 every triple, so it is slow but obviously right; the current validator
-must produce the same report on any graph, on every backend.
+must produce the same report on any graph, on every backend and on
+the dict-of-set reference store (``set``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Set
 
+import kg_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -215,7 +217,8 @@ EVERYTHING = {
 
 
 def build_graph(spec: dict, backend: str) -> KnowledgeGraph:
-    graph = KnowledgeGraph(backend=backend)
+    graph = KnowledgeGraph(backend=kg_oracle.SetBackend() if backend == "set"
+                           else backend)
     for identifier in CORE[:3] + CLASSES:
         graph.register_class(identifier, identifier)
     for identifier in CORE[3:] + CONCEPTS:
@@ -229,7 +232,7 @@ def build_graph(spec: dict, backend: str) -> KnowledgeGraph:
     return graph
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(BACKENDS) + ["set"])
 @settings(max_examples=60, deadline=None)
 @given(spec=graph_specs)
 @example(spec=EVERYTHING)
